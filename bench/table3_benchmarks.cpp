@@ -5,7 +5,8 @@
  * homomorphic-operation graph executed by the library's FHE layer on
  * this host). Absolute times differ from the paper's testbed; the
  * shape — three to four orders of magnitude, bootstrapping lowest —
- * is the reproduction target (EXPERIMENTS.md).
+ * is the reproduction target. Repeated end-to-end timings with their
+ * spread come from perfbench (perfbench/README.md).
  *
  * Pass --fast to scale the workloads down (CI-friendly).
  */
@@ -52,6 +53,6 @@ main(int argc, char **argv)
            "4-core Xeon)\n", "", 28, "",
            std::exp(log_speedup_sum / count));
     if (fast)
-        printf("\n[--fast: reduced scales; see EXPERIMENTS.md]\n");
+        printf("\n[--fast: reduced scales (LoLa-CIFAR at 0.05)]\n");
     return 0;
 }

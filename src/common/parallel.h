@@ -37,8 +37,16 @@ namespace f1 {
 /**
  * Fixed-size pool of worker threads executing counted loops. The
  * calling thread participates in every loop, so a pool of T threads
- * uses T-1 workers. Nested calls (a body invoking run() again) execute
- * inline serially — per-limb bodies stay coarse and never deadlock.
+ * uses T-1 workers.
+ *
+ * Nesting is help-first: a body that calls run() again publishes the
+ * inner loop as another open batch, drains it itself, and then waits
+ * only for the iterations other threads already claimed. Any thread
+ * may join an open batch — an idle worker joins any batch, and a pool
+ * body joins only batches nested deeper than the one it runs (see
+ * helpParallelWork), so a wait never depends on a shallower frame and
+ * nesting cannot deadlock. The number of open batches is bounded; a
+ * loop published when all slots are taken runs inline.
  */
 class ThreadPool
 {
@@ -57,15 +65,23 @@ class ThreadPool
     /**
      * Runs body(i) for every i in [begin, end) and blocks until all
      * iterations complete. Iterations are claimed dynamically from a
-     * shared counter. The first exception thrown by any iteration is
-     * rethrown on the calling thread after the loop drains.
+     * per-batch counter. The first exception thrown by any iteration
+     * is rethrown on the calling thread after the loop drains.
      */
     void run(size_t begin, size_t end,
              const std::function<void(size_t)> &body);
 
   private:
+    friend bool helpParallelWork();
+    struct Batch;
     struct State;
     void workerLoop();
+    /**
+     * Claims and runs iterations of one open batch whose nesting
+     * depth is at least minDepth: one iteration, or (drain) every
+     * iteration left in that batch. Returns whether any ran.
+     */
+    bool help(unsigned minDepth, bool drain);
 
     std::unique_ptr<State> state_;
     std::vector<std::thread> workers_;
@@ -93,19 +109,32 @@ unsigned globalThreadCount();
 /**
  * Resizes the global pool. n = 0 restores the configured default;
  * n = 1 selects the serial fallback. Safe concurrently with in-flight
- * parallelFor calls: each call holds a shared snapshot of the pool it
- * started on, and a retired pool is destroyed only after its last
+ * parallelFor calls: each top-level call holds a shared snapshot of
+ * the pool it started on (nested calls stay on their enclosing call's
+ * pool), and a retired pool is destroyed only after its last
  * in-flight batch drains.
  */
 void setGlobalThreadCount(unsigned n);
 
 /**
- * Runs body(i) for every i in [begin, end) on the global pool.
- * Serial (inline, in index order) when the pool has one thread, the
- * range has one element, or the caller is itself a pool worker.
+ * Runs body(i) for every i in [begin, end) on the global pool, or,
+ * when called from inside a pool body, on that body's pool as a
+ * nested batch. Serial (inline, in index order) when the pool has one
+ * thread, the range has one element, or an InlineParallelScope is
+ * active on the calling thread.
  */
 void parallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)> &body);
+
+/**
+ * Runs one iteration of an open batch nested deeper than the pool
+ * body the calling thread is executing, and returns true; returns
+ * false when there is none, when the caller is not inside a pool body,
+ * or under InlineParallelScope. A long-lived body with nothing to do
+ * (the work-stealing executor's idle workers) calls this before it
+ * yields, so its thread joins the limb loops of the ops still running.
+ */
+bool helpParallelWork();
 
 /**
  * RAII guard that forces parallelFor calls issued from the current
@@ -114,7 +143,9 @@ void parallelFor(size_t begin, size_t end,
  * guard on each job worker: with W workers each executing one job
  * single-threaded, concurrency comes entirely from job-level
  * parallelism and jobs never contend for the shared pool. Inline
- * execution is the serial path, so outputs are unchanged.
+ * execution is the serial path, so outputs are unchanged. The guard
+ * also makes helpParallelWork return false, so a guarded thread never
+ * runs another job's iterations.
  */
 class InlineParallelScope
 {

@@ -894,7 +894,10 @@ OpGraphExecutor::runWorkStealing(RunState &st,
                     if (remaining.load(std::memory_order_acquire) ==
                         0)
                         return;
-                    std::this_thread::yield();
+                    // Nothing ready: join the limb loops of the ops
+                    // still running instead of spinning.
+                    if (!helpParallelWork())
+                        std::this_thread::yield();
                     continue;
                 }
                 runOne(wid, h);
@@ -912,11 +915,12 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     };
 
     // One pool dispatch for the whole run: each claimed index is a
-    // long-lived worker loop. Under InlineParallelScope (or a
-    // one-thread pool) the bodies run inline in index order — worker
-    // 0 drains the whole graph in strict priority order, the rest
-    // find no work — so the serial fallback is exact and
-    // deterministic.
+    // long-lived worker loop, and the ops' limb loops are batches
+    // nested inside it that idle workers help with. Under
+    // InlineParallelScope (or a one-thread pool) the bodies run
+    // inline in index order — worker 0 drains the whole graph in
+    // strict priority order, the rest find no work — so the serial
+    // fallback is exact and deterministic.
     parallelFor(0, W, worker);
     if (firstError)
         std::rethrow_exception(firstError);

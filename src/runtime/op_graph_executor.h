@@ -7,9 +7,11 @@
  * executor adds the level above it: each HeOp's ciphertext operands
  * define a dependency DAG over the Program's op list, and independent
  * ops execute concurrently on the shared thread pool. Per-op FHE
- * kernels called from a pool worker take the pool's inline path, so
- * the two levels compose without nesting deadlocks: wide op-level
- * parallelism narrows gracefully into per-limb parallelism.
+ * kernels called from a pool worker publish their limb loops as
+ * nested pool batches, and workers with no ready op join them
+ * (helpParallelWork), so the two levels compose: wide op-level
+ * parallelism narrows into per-limb parallelism on a dependent chain
+ * instead of leaving all but one thread idle.
  *
  * Three schedulers (ExecutionPolicy::scheduler):
  *  - kSerial: one op at a time in deterministic topological (program)

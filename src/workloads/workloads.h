@@ -2,7 +2,8 @@
  * @file
  * The paper's benchmark programs (§7) as DSL builders, structurally
  * faithful to the published algorithms and parameterized so the CPU
- * baseline stays runnable (EXPERIMENTS.md records the scales used):
+ * baseline stays runnable (the default arguments below are the scales
+ * used; perfbench/README.md describes the timed benchmark workloads):
  *
  *  - LoLa-CIFAR / LoLa-MNIST (unencrypted & encrypted weights):
  *    Brutzkus et al.'s low-latency networks as sequences of

@@ -392,6 +392,59 @@ TEST(TelemetryTest, ProfileCountersBitStableAcrossSchedulers)
     }
 }
 
+TEST(TelemetryTest, HelpedLimbWorkIsAttributedToItsJob)
+{
+    // A key-switching chain gives work-stealing one op at a time, so
+    // its idle workers run the chain's limb loops. Two such runs at
+    // once, each with its own collector, must each count exactly the
+    // serial run's NTTs and key switches: a limb helped by a thread
+    // of the other run still belongs to the job that published it.
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    Program p(256, 8, "ks-chain");
+    int x = p.input();
+    int acc = p.mul(x, x);
+    for (int i = 0; i < 4; ++i)
+        acc = p.rotate(p.mul(acc, x), 1);
+    p.output(acc);
+    OpGraphExecutor exec(p, &bgv);
+    RuntimeInputs in;
+    in.seed = 53;
+    exec.execute(in, {}); // warm the hint cache (keygen runs NTTs)
+
+    auto profiled = [&](SchedulerKind kind) {
+        ExecutionPolicy pol;
+        pol.scheduler = kind;
+        pol.telemetry.profile = true;
+        return exec.execute(in, pol).profile;
+    };
+    setGlobalThreadCount(1);
+    const auto ref = profiled(SchedulerKind::kSerial);
+    ASSERT_NE(ref, nullptr);
+    ASSERT_GT(ref->keySwitchApplies, 0u);
+
+    setGlobalThreadCount(4);
+    std::vector<std::shared_ptr<const obs::ExecutionProfile>> profs(4);
+    std::vector<std::thread> apps;
+    for (size_t t = 0; t < 2; ++t) {
+        apps.emplace_back([&, t] {
+            for (size_t r = 0; r < 2; ++r)
+                profs[t * 2 + r] = profiled(SchedulerKind::kWorkStealing);
+        });
+    }
+    for (auto &a : apps)
+        a.join();
+    setGlobalThreadCount(0);
+
+    for (const auto &prof : profs) {
+        ASSERT_NE(prof, nullptr);
+        EXPECT_EQ(prof->nttForward, ref->nttForward);
+        EXPECT_EQ(prof->nttInverse, ref->nttInverse);
+        EXPECT_EQ(prof->keySwitchApplies, ref->keySwitchApplies);
+        EXPECT_EQ(prof->basisExtends, ref->basisExtends);
+    }
+}
+
 TEST(TelemetryTest, TraceExportsPerfettoJson)
 {
     FheContext ctx(smallParams());

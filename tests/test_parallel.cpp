@@ -1,17 +1,20 @@
 /**
  * @file
  * Tests for the limb-parallel execution engine: pool semantics
- * (coverage, exceptions, nesting) and the bit-identical contract — the
- * threaded NTT, element-wise, basis-extension, and key-switching paths
- * must produce exactly the serial reference's output for any thread
- * count.
+ * (coverage, exceptions, help-first nesting, inline scopes) and the
+ * bit-identical contract — the threaded NTT, element-wise,
+ * basis-extension, and key-switching paths must produce exactly the
+ * serial reference's output for any thread count.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <type_traits>
 
@@ -79,16 +82,128 @@ TEST(ParallelFor, PropagatesBodyExceptions)
     });
 }
 
-TEST(ParallelFor, NestedCallsRunInline)
+TEST(ParallelFor, NestedBatchRunsEveryIndexOnce)
 {
     withThreads(4, [] {
-        std::vector<int> grid(8 * 8, 0);
-        parallelFor(0, 8, [&](size_t i) {
-            parallelFor(0, 8,
-                        [&](size_t j) { grid[i * 8 + j] += 1; });
+        std::vector<std::atomic<int>> grid(16 * 32);
+        parallelFor(0, 16, [&](size_t i) {
+            parallelFor(0, 32, [&](size_t j) {
+                grid[i * 32 + j].fetch_add(1, std::memory_order_relaxed);
+            });
         });
-        EXPECT_EQ(std::accumulate(grid.begin(), grid.end(), 0), 64);
+        for (const auto &cell : grid)
+            EXPECT_EQ(cell.load(), 1);
     });
+}
+
+TEST(ParallelFor, HelpersJoinSiblingNestedBatch)
+{
+    // Outer body 0 publishes a nested batch; the sibling bodies have
+    // nothing of their own and loop on helpParallelWork() until it
+    // drains. Some inner indices must run on those sibling threads.
+    thread_local bool t_helping = false;
+    withThreads(4, [] {
+        constexpr size_t kInner = 256;
+        std::vector<std::atomic<int>> hits(kInner);
+        std::atomic<int> siblingsArrived{0};
+        std::atomic<bool> innerDone{false};
+        std::atomic<int> helpedBySibling{0};
+        std::mutex m;
+        std::set<std::thread::id> innerThreads;
+        parallelFor(0, 4, [&](size_t i) {
+            if (i != 0) {
+                siblingsArrived.fetch_add(1);
+                t_helping = true;
+                while (!innerDone.load())
+                    if (!helpParallelWork())
+                        std::this_thread::yield();
+                t_helping = false;
+                return;
+            }
+            // Publish only once a sibling is looping, so the batch
+            // cannot drain before anyone could help.
+            while (siblingsArrived.load() == 0)
+                std::this_thread::yield();
+            parallelFor(0, kInner, [&](size_t j) {
+                hits[j].fetch_add(1);
+                if (t_helping)
+                    helpedBySibling.fetch_add(1);
+                {
+                    std::lock_guard<std::mutex> lock(m);
+                    innerThreads.insert(std::this_thread::get_id());
+                }
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(50));
+            });
+            innerDone.store(true);
+        });
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+        EXPECT_GT(helpedBySibling.load(), 0);
+        EXPECT_GT(innerThreads.size(), 1u);
+    });
+}
+
+TEST(ParallelFor, NestedExceptionReachesNestedCallerOnly)
+{
+    withThreads(4, [] {
+        constexpr size_t kOuter = 8, kInner = 16;
+        std::vector<std::atomic<int>> outerDone(kOuter);
+        std::vector<std::atomic<int>> caught(kOuter);
+        std::atomic<int> innerRan{0};
+        EXPECT_NO_THROW(parallelFor(0, kOuter, [&](size_t i) {
+            try {
+                parallelFor(0, kInner, [&](size_t j) {
+                    if (i == 3 && j == 5)
+                        F1_FATAL("inner boom");
+                    innerRan.fetch_add(1);
+                });
+            } catch (const FatalError &) {
+                caught[i].fetch_add(1);
+            }
+            outerDone[i].fetch_add(1);
+        }));
+        for (size_t i = 0; i < kOuter; ++i) {
+            EXPECT_EQ(outerDone[i].load(), 1) << i;
+            EXPECT_EQ(caught[i].load(), i == 3 ? 1 : 0) << i;
+        }
+        // Only the throwing iteration is missing.
+        EXPECT_EQ(innerRan.load(), int(kOuter * kInner - 1));
+    });
+}
+
+TEST(ParallelFor, InlineScopeInsidePoolBodyStaysInline)
+{
+    withThreads(4, [] {
+        std::atomic<int> multiThreaded{0};
+        std::atomic<int> helped{0};
+        // Two bodies on four threads: two threads stay idle, ready to
+        // join any loop a guarded body publishes.
+        parallelFor(0, 2, [&](size_t) {
+            InlineParallelScope guard;
+            if (helpParallelWork())
+                helped.fetch_add(1);
+            const auto self = std::this_thread::get_id();
+            size_t expect = 0;
+            parallelFor(0, 64, [&](size_t j) {
+                // In index order, on the calling thread.
+                if (std::this_thread::get_id() != self || j != expect)
+                    multiThreaded.fetch_add(1);
+                ++expect;
+                // Long enough for idle threads to reach a loop that
+                // was (wrongly) published.
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(20));
+            });
+        });
+        EXPECT_EQ(multiThreaded.load(), 0);
+        EXPECT_EQ(helped.load(), 0);
+    });
+}
+
+TEST(ParallelFor, HelpOutsidePoolBodyFindsNothing)
+{
+    withThreads(4, [] { EXPECT_FALSE(helpParallelWork()); });
 }
 
 TEST(ParallelFor, PoolUsableAfterBodyThrow)

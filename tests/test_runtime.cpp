@@ -2,8 +2,9 @@
  * @file
  * Serving-runtime tests: the LRU cache, the DAG executor under all
  * three ExecutionPolicy schedulers (bit-identity of work-stealing
- * against serial and wavefront order across thread counts and with
- * compiler schedule hints, liveness-based release, cycle rejection,
+ * against serial and wavefront order across thread counts, with
+ * compiler schedule hints and with concurrent callers sharing the
+ * pool's nested batches, liveness-based release, cycle rejection,
  * deprecated-shim compatibility), batched execution (executeBatch
  * bit-identity against solo runs for BGV and CKKS, shared encoding
  * cache accounting), and the multi-tenant serving pipeline (admission
@@ -942,6 +943,57 @@ heavyProgram(int muls)
         acc = p.mul(acc, x);
     p.output(acc);
     return p;
+}
+
+TEST(OpGraphExecutorTest, ConcurrentWorkStealingChainsMatchSerial)
+{
+    // Two application threads run a key-switching chain under
+    // work-stealing at the same time, so both runs' limb loops are
+    // open as nested pool batches together and idle workers of either
+    // run may help either; a third thread keeps publishing top-level
+    // loops on the same pool.
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    Program p = heavyProgram(4); // x^5
+    OpGraphExecutor exec(p, &bgv);
+    RuntimeInputs in;
+    in.bind(0, std::vector<uint64_t>(256, 3));
+    in.seed = 47;
+    const auto serial =
+        exec.execute(in, policyFor(SchedulerKind::kSerial));
+    ASSERT_EQ(bgv.decryptSlots(serial.outputs.begin()->second)[0],
+              243u);
+
+    setGlobalThreadCount(4);
+    std::atomic<bool> stop{false};
+    std::thread hammer([&] {
+        while (!stop.load()) {
+            std::atomic<uint64_t> sum{0};
+            parallelFor(0, 64, [&](size_t i) { sum.fetch_add(i); });
+            EXPECT_EQ(sum.load(), uint64_t(64 * 63 / 2));
+        }
+    });
+    constexpr int kRounds = 3;
+    std::vector<ExecutionResult> results(2 * kRounds);
+    std::vector<std::thread> apps;
+    for (int t = 0; t < 2; ++t) {
+        apps.emplace_back([&, t] {
+            for (int r = 0; r < kRounds; ++r)
+                results[t * kRounds + r] = exec.execute(
+                    in, policyFor(SchedulerKind::kWorkStealing));
+        });
+    }
+    for (auto &a : apps)
+        a.join();
+    stop = true;
+    hammer.join();
+    setGlobalThreadCount(0);
+
+    for (const auto &r : results) {
+        expectIdenticalOutputs(serial, r);
+        ASSERT_EQ(r.outputs.size(), 1u);
+        EXPECT_EQ(bgv.decryptSlots(r.outputs.begin()->second)[0], 243u);
+    }
 }
 
 TEST(ServingEngineTest, BatchedMatchesSoloAcrossPoliciesBgv)
